@@ -2,7 +2,7 @@ package repro.baseline
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.storage.StorageLevel
-import repro.core.Tweet
+import repro.core.{Detection, GlobalPooling, Tweet}
 import repro.data.TweetGen
 import repro.emd.{LocalEmd, TokenEmbedder}
 import repro.nn.MlpClassifier
@@ -42,31 +42,18 @@ object HireNer {
     tweets.flatMap { t =>
       t.tokens.indices.map { p =>
         val inGold = t.gold.exists(g => p >= g.start && p < g.start + g.len)
-        TokenOcc(t.tweetId, t.sentId, p, t.tokens(p).toLowerCase,
+        TokenOcc(t.tweetId, t.sentId, p, Detection.keyOf(t.tokens(p)),
           TokenEmbedder.tokenEmbedding(dim, salt, datasetSeed, t, p), inGold)
       }
     }
   }
 
   /** Global memory: mean local embedding per token type. */
-  def globalMemory(occ: Dataset[TokenOcc]): Map[String, Array[Double]] = {
-    val spark = occ.sparkSession
-    import spark.implicits._
-    occ.groupByKey(_.tokenKey)
-      .mapGroups { (key, it) =>
-        var count = 0L
-        var sum: Array[Double] = null
-        it.foreach { o =>
-          if (sum == null) sum = new Array[Double](o.local.length)
-          var i = 0
-          while (i < sum.length) { sum(i) += o.local(i); i += 1 }
-          count += 1
-        }
-        (key, sum.map(_ / count))
-      }
+  def globalMemory(occ: Dataset[TokenOcc]): Map[String, Array[Double]] =
+    GlobalPooling.partialPools(occ)(_.tokenKey, _.local)
       .collect()
+      .map { case (key, p) => key -> p.mean }
       .toMap
-  }
 
   private def featuresOf(local: Array[Double], global: Array[Double]): Array[Double] =
     local ++ global

@@ -6,9 +6,9 @@ import org.apache.spark.sql.expressions.Aggregator
 /** Incremental pooling of local candidate embeddings into global candidate
   * embeddings (paper Sec. V-C): the CandidateBase keeps, per candidate, a
   * running (count, sum) that finishes as the mean embedding. The Aggregator
-  * formulation gives Catalyst partial aggregation and makes the incremental
-  * streaming update (merge of partial pools) literally the same code path
-  * as the batch computation.
+  * formulation gives Catalyst partial aggregation, and [[partialPools]] is
+  * the one grouping behind batch pooling, the streaming merge and
+  * HIRE-NER's per-token memory.
   */
 object GlobalPooling {
 
@@ -21,13 +21,7 @@ object GlobalPooling {
     def add(emb: Array[Double]): Pool = {
       require(count == 0 || emb.length == sum.length,
         s"embedding dim ${emb.length} != pool dim ${sum.length}")
-      if (count == 0) Pool(1L, emb.clone())
-      else {
-        val s = sum.clone()
-        var i = 0
-        while (i < s.length) { s(i) += emb(i); i += 1 }
-        Pool(count + 1, s)
-      }
+      if (count == 0) Pool(1L, emb.clone()) else merge(Pool(1L, emb))
     }
     def merge(other: Pool): Pool = {
       if (count == 0) other
@@ -46,23 +40,27 @@ object GlobalPooling {
     val empty: Pool = Pool(0L, Array.empty[Double])
   }
 
-  /** Typed Aggregator from mention embeddings to a finished Pool. */
-  final class PoolAgg extends Aggregator[MentionEmb, Pool, Pool] {
+  /** Typed Aggregator from embedding vectors to a finished Pool. */
+  final class PoolAgg extends Aggregator[Array[Double], Pool, Pool] {
     override def zero: Pool = Pool.empty
-    override def reduce(b: Pool, m: MentionEmb): Pool = b.add(m.emb)
+    override def reduce(b: Pool, emb: Array[Double]): Pool = b.add(emb)
     override def merge(a: Pool, b: Pool): Pool = a.merge(b)
     override def finish(b: Pool): Pool = b
     override def bufferEncoder: Encoder[Pool] = Encoders.product[Pool]
     override def outputEncoder: Encoder[Pool] = Encoders.product[Pool]
   }
 
+  /** One Pool per key over the embeddings of `rows`. */
+  def partialPools[T](rows: Dataset[T])(key: T => String, emb: T => Array[Double]): Dataset[(String, Pool)] = {
+    val spark = rows.sparkSession
+    import spark.implicits._
+    rows.groupByKey(key).mapValues(emb).agg(new PoolAgg().toColumn.name("pool"))
+  }
+
   /** Global candidate embeddings: one CandidateRecord per candidate key. */
   def pool(mentions: Dataset[MentionEmb]): Dataset[CandidateRecord] = {
     val spark = mentions.sparkSession
     import spark.implicits._
-    mentions
-      .groupByKey(_.key)
-      .agg(new PoolAgg().toColumn.name("pool"))
-      .map { case (key, p) => CandidateRecord(key, p.count, p.mean) }
+    partialPools(mentions)(_.key, _.emb).map { case (key, p) => CandidateRecord(key, p.count, p.mean) }
   }
 }

@@ -5,11 +5,15 @@ import org.apache.spark.storage.StorageLevel
 import repro.data.TweetGen
 import repro.emd.{LocalEmd, TokenEmbedder}
 
-/** EMD Globalizer — the paper's end-to-end batch pipeline (Fig. 2/3):
+/** EMD Globalizer — the paper's end-to-end pipeline (Fig. 2/3), one
+  * iteration over a batch of tweets (Sec. III):
   *
   *   Local EMD → seed candidates (CTrie) → occurrence mining with local
   *   candidate embeddings → global pooling (CandidateBase) → Entity
   *   Classifier (α/β/γ) → final entity mentions.
+  *
+  * A batch run is one iteration on an empty CandidateBase; a micro-batch is
+  * one on the CandidateBase carried across the stream.
   *
   * Timing attribution follows the paper's Table III: "Local EMD time" is
   * the per-sentence EMD pass (for deep systems this includes generating the
@@ -31,9 +35,10 @@ object Globalizer {
                              finalSpans: DataFrame,
                              localEval: EvalCounts,
                              globalEval: EvalCounts,
-                             timings: Timings) {
-    def labelOf(score: Double): Int = EntityClassifier.bandOf(score)
-  }
+                             timings: Timings)
+
+  /** An iteration's persisted local detections and mined mentions, and its Local EMD seconds. */
+  final case class Iteration(localDets: Dataset[Detection], mentions: Dataset[MentionEmb], localSec: Double)
 
   private def now(): Long = System.nanoTime()
   private def secs(from: Long, to: Long): Double = (to - from) / 1e9
@@ -92,6 +97,41 @@ object Globalizer {
     alphaSpans.union(gammaSpans).distinct()
   }
 
+  /** One framework iteration over `tweets` up to pooling: Local EMD adds its
+    * seed keys to `state`, the CTrie of all its keys is broadcast for mining,
+    * and the batch's partial pools are merged into `state`.
+    */
+  def iterate(tweets: Dataset[Tweet],
+              spec: TweetGen.Spec,
+              system: LocalEmd,
+              phraseEmbedder: Option[PhraseEmbedder],
+              state: StreamingGlobalizer.State,
+              chargeEmbeddingCost: Boolean): Iteration = {
+    val spark = tweets.sparkSession
+    val t0 = now()
+    val localDets = localPhase(tweets, system, spec, chargeEmbeddingCost)
+    val localSec = secs(t0, now())
+    state.keys ++= seedKeys(localDets)
+    val trie = spark.sparkContext.broadcast(CTrie.fromKeys(state.keys))
+    val mentions = MentionExtractor
+      .mine(tweets, trie, system, spec.seed, phraseEmbedder)
+      .persist(StorageLevel.MEMORY_AND_DISK)
+    mentions.count()
+    state.mergeBatchPools(GlobalPooling.partialPools(mentions)(_.key, _.emb).collect())
+    Iteration(localDets, mentions, localSec)
+  }
+
+  /** Scores every candidate of `state`; assembles the iteration's final spans (cached). */
+  def classifyAndAssemble(it: Iteration,
+                          state: StreamingGlobalizer.State,
+                          clf: EntityClassifier): (Seq[(CandidateRecord, Double)], DataFrame) = {
+    val scored = state.records.map(r => (r, clf.score(r)))
+    val bands = scored.map { case (r, s) => r.key -> EntityClassifier.bandOf(s) }.toMap
+    val out = assembleOutput(it.mentions, it.localDets, bands).cache()
+    out.count()
+    (scored, out)
+  }
+
   /** One full pipeline run over a dataset with a trained classifier (and,
     * for deep systems, a trained Phrase Embedder).
     */
@@ -104,26 +144,16 @@ object Globalizer {
     val tweets = TweetGen.generate(spark, spec).persist(StorageLevel.MEMORY_AND_DISK)
     tweets.count() // data loading, not attributed to either phase
 
+    val state = new StreamingGlobalizer.State
     val t0 = now()
-    val localDets = localPhase(tweets, system, spec, chargeEmbeddingCost)
+    val it = iterate(tweets, spec, system, phraseEmbedder, state, chargeEmbeddingCost)
+    val (scored, finalSpans) = classifyAndAssemble(it, state, clf)
     val t1 = now()
 
-    val trie = spark.sparkContext.broadcast(CTrie.fromKeys(seedKeys(localDets)))
-    val mentions = MentionExtractor
-      .mine(tweets, trie, system, spec.seed, phraseEmbedder)
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    mentions.count()
-    val records = GlobalPooling.pool(mentions).collect().toSeq
-    val scored = records.map(r => (r, clf.score(r)))
-    val bands = scored.map { case (r, s) => r.key -> EntityClassifier.bandOf(s) }.toMap
-    val finalSpans = assembleOutput(mentions, localDets, bands).cache()
-    finalSpans.count()
-    val t2 = now()
-
-    val localEval  = Metrics.evaluate(Metrics.detectionSpans(localDets), tweets)
+    val localEval  = Metrics.evaluate(Metrics.detectionSpans(it.localDets), tweets)
     val globalEval = Metrics.evaluate(finalSpans, tweets)
 
-    RunOutput(localDets, mentions, scored, finalSpans, localEval, globalEval,
-      Timings(secs(t0, t1), secs(t1, t2)))
+    RunOutput(it.localDets, it.mentions, scored.sortBy(_._1.key), finalSpans, localEval, globalEval,
+      Timings(it.localSec, secs(t0, t1) - it.localSec))
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.Locale
+
 /** Shared data model for the reproduction.
   *
   * A "tweet" here is one tweet-sentence, the unit the paper processes
@@ -32,12 +34,11 @@ case class Detection(dataset: String, tweetId: Long, sentId: Int, start: Int, le
 }
 
 object Detection {
-  def keyOf(surface: String): String = surface.toLowerCase
+  /** The one case-folding rule of the pipeline: lower-casing under
+    * `Locale.ROOT`, so keys do not depend on the JVM's default locale.
+    */
+  def keyOf(surface: String): String = surface.toLowerCase(Locale.ROOT)
 }
-
-/** A candidate mention found by occurrence mining during Global EMD. */
-case class Mention(dataset: String, tweetId: Long, sentId: Int, start: Int, len: Int,
-                   key: String, surface: String)
 
 /** A candidate's global record: pooled embedding over all its mentions. */
 case class CandidateRecord(key: String, mentionCount: Long, pooled: Array[Double])

@@ -15,18 +15,19 @@ import scala.collection.mutable
   *   - per-candidate running (count, sum) pools, merged batch by batch —
   *     the "incrementally updated global embedding" of Sec. V.
   *
-  * `processBatch` is the single iteration used both by the driver-side
-  * batch loop and by the Structured Streaming `foreachBatch` sink in
-  * [[StreamingGlobalizer.runStream]]: windowed occurrence mining over the
-  * current micro-batch against the cumulative CTrie, followed by
-  * classification of all candidates under their updated global embeddings.
+  * `processBatch` is [[Globalizer.iterate]] plus classification and output
+  * assembly on the carried State — the same iteration a batch run makes on
+  * an empty State. It backs both the driver-side batch loop and the
+  * Structured Streaming `foreachBatch` sink in [[StreamingGlobalizer.runStream]].
   */
 object StreamingGlobalizer {
 
-  /** Mutable cross-batch state (driver-held; candidate counts are small). */
+  /** Mutable cross-batch state (driver-held; candidate counts are small).
+    * Pools keep the order in which their keys were first merged.
+    */
   final class State {
     val keys: mutable.Set[String] = mutable.Set.empty
-    val pools: mutable.Map[String, GlobalPooling.Pool] = mutable.Map.empty
+    val pools: mutable.Map[String, GlobalPooling.Pool] = mutable.LinkedHashMap.empty
 
     def records: Seq[CandidateRecord] =
       pools.toSeq.map { case (k, p) => CandidateRecord(k, p.count, p.mean) }
@@ -46,33 +47,10 @@ object StreamingGlobalizer {
                    clf: EntityClassifier,
                    phraseEmbedder: Option[PhraseEmbedder],
                    state: State): DataFrame = {
-    val spark = batch.sparkSession
-    import spark.implicits._
-
-    // (1) Local EMD on the batch; register new seed candidates.
-    val localDets = Globalizer.localPhase(batch, system, spec, chargeEmbeddingCost = false)
-    state.keys ++= Globalizer.seedKeys(localDets)
-
-    // (2) Occurrence mining of the batch against the cumulative CTrie.
-    val trie = spark.sparkContext.broadcast(CTrie.fromKeys(state.keys))
-    val mentions = MentionExtractor.mine(batch, trie, system, spec.seed, phraseEmbedder).cache()
-    mentions.count()
-
-    // (3) Incremental global embeddings: merge the batch's partial pools.
-    val batchPools = mentions
-      .groupByKey(_.key)
-      .agg(new GlobalPooling.PoolAgg().toColumn.name("pool"))
-      .collect()
-      .toSeq
-    state.mergeBatchPools(batchPools)
-
-    // (4) Classify every candidate under its updated global embedding and
-    //     emit this batch's mentions.
-    val bands = state.records.map(r => r.key -> EntityClassifier.bandOf(clf.score(r))).toMap
-    val out = Globalizer.assembleOutput(mentions, localDets, bands).cache()
-    out.count()
-    mentions.unpersist()
-    localDets.unpersist()
+    val it = Globalizer.iterate(batch, spec, system, phraseEmbedder, state, chargeEmbeddingCost = false)
+    val (_, out) = Globalizer.classifyAndAssemble(it, state, clf)
+    it.mentions.unpersist()
+    it.localDets.unpersist()
     out
   }
 

@@ -41,7 +41,8 @@ object Training {
   }
 
   /** Extract labelled global candidate records from a training stream
-    * (D5 in the paper) for a system.
+    * (D5 in the paper) for a system: one framework iteration on an empty
+    * CandidateBase, stopped after pooling.
     */
   def d5Candidates(spark: SparkSession,
                    system: LocalEmd,
@@ -49,15 +50,11 @@ object Training {
                    spec: TweetGen.Spec = TweetGen.D5): Seq[(CandidateRecord, Boolean)] = {
     val tweets = TweetGen.generate(spark, spec).persist(StorageLevel.MEMORY_AND_DISK)
     tweets.count()
-    val dets = Globalizer.localPhase(tweets, system, spec, chargeEmbeddingCost = false)
-    val trie = spark.sparkContext.broadcast(CTrie.fromKeys(Globalizer.seedKeys(dets)))
-    val records = GlobalPooling.pool(
-      MentionExtractor.mine(tweets, trie, system, spec.seed, pe)).collect().toSeq
+    val state = new StreamingGlobalizer.State
+    val it = Globalizer.iterate(tweets, spec, system, pe, state, chargeEmbeddingCost = false)
+    Seq(tweets, it.localDets, it.mentions).foreach(_.unpersist())
     val entityKeys = spec.entityKeys
-    val labelled = records.map(r => (r, entityKeys.contains(r.key)))
-    tweets.unpersist()
-    dets.unpersist()
-    labelled
+    state.records.map(r => (r, entityKeys.contains(r.key)))
   }
 
   /** Train everything needed to run the framework with `system`. */

@@ -1,5 +1,6 @@
 package repro.data
 
+import repro.core.Detection
 import repro.util.Rng
 
 /** Synthetic vocabulary for tweet generation.
@@ -91,5 +92,5 @@ object Vocab {
   }
 
   /** Lower-cased candidate key of a token sequence. */
-  def keyOf(tokens: Seq[String]): String = tokens.map(_.toLowerCase).mkString(" ")
+  def keyOf(tokens: Seq[String]): String = tokens.map(Detection.keyOf).mkString(" ")
 }

@@ -3,6 +3,8 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.util.Rng
 
+import java.util.Locale
+
 class CTrieSpec extends AnyFunSuite {
 
   private def trie(keys: String*): CTrie = CTrie.fromKeys(keys)
@@ -171,5 +173,16 @@ class CTrieSpec extends AnyFunSuite {
       val exp = referenceScan(keys.map(_.map(_.toLowerCase)), sent)
       assert(got == exp, s"round=$round keys=$keys sent=$sent got=$got exp=$exp")
     }
+  }
+
+  test("case folding does not depend on the default locale (tr-TR)") {
+    val saved = Locale.getDefault
+    Locale.setDefault(Locale.forLanguageTag("tr-TR"))
+    try {
+      // Turkish lower-cases 'I' to dotless 'ı'; keys must not.
+      assert(Detection.keyOf("VEKI") == Detection.keyOf("veki"))
+      val t = trie("veki babe", "inan")
+      assert(t.scan(IndexedSeq("the", "VEKI", "BABE", "said", "INAN")) == Seq((1, 2), (4, 1)))
+    } finally Locale.setDefault(saved)
   }
 }

@@ -97,4 +97,16 @@ class MetricsSpec extends SparkSpec {
     val pred = Seq((1L, 0, 0, 1), (1L, 0, 3, 1)).toDF("tweetId", "sentId", "start", "len")
     assert(Metrics.evaluateAgainst(pred, gold) == EvalCounts(1, 1, 0))
   }
+
+  test("evaluate releases the spans it caches") {
+    import spark.implicits._
+    val tweets = spark.createDataset(Seq(
+      Tweet("T", 1L, 0, Seq("B", "x"), Seq(GoldSpan(0, 1, 1L)), Seq.empty)))
+    val pred = Seq((1L, 0, 0, 1)).toDF("tweetId", "sentId", "start", "len")
+    // Counted, not looked up by plan: each goldSpans call builds a plan
+    // with a fresh closure, which never matches the cached one.
+    val persisted = spark.sparkContext.getPersistentRDDs.size
+    assert(Metrics.evaluate(pred, tweets) == EvalCounts(1, 0, 0))
+    assert(spark.sparkContext.getPersistentRDDs.size == persisted)
+  }
 }

@@ -60,4 +60,15 @@ class TrainingSpec extends SparkSpec {
     assert(trainedAguilar.embeddingSizeLabel == "100+1")
     assert(trainedChunker.embeddingSizeLabel == "6+1")
   }
+
+  test("training candidates are the records a batch run pools, bit for bit") {
+    val spec = TweetGen.DevStream
+    val labelled = Training.d5Candidates(spark, Aguilar, trainedAguilar.phraseEmbedder, spec)
+    val scored = Globalizer.run(spark, spec, Aguilar, trainedAguilar.classifier,
+      trainedAguilar.phraseEmbedder, chargeEmbeddingCost = false).scored.map(_._1)
+    def bits(recs: Seq[CandidateRecord]) = recs.sortBy(_.key).map(r =>
+      (r.key, r.mentionCount, r.pooled.map(java.lang.Double.doubleToRawLongBits).toSeq))
+    assert(scored.nonEmpty)
+    assert(bits(labelled.map(_._1)) == bits(scored))
+  }
 }
